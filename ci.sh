@@ -34,7 +34,10 @@
 #      reduced campus, under an events/s floor, or past its ceiling
 #  10. serve-mode smoke                          — the serve crate's
 #      crash harness (kill -9 the live supervisor mid-bolus; the
-#      device-local fail-safe must latch), then bench_serve --quick
+#      device-local fail-safe must latch), the live-loop and wake tests
+#      (idle host polls ~once per tick, frames and EOF wake it at once,
+#      unsignalled peers keep a 1 ms cadence) plus the crate's unit
+#      tests (wall_at inverse, EINTR retry), then bench_serve --quick
 #      (live ingest throughput + danger-to-stop cycles, zero trace
 #      allocations with tracing disabled), emitting BENCH_serve.json
 #  11. crash/soak smoke                          — journal + wire
@@ -110,7 +113,7 @@ test -s target/BENCH_campus.json || { echo "BENCH_campus.json missing"; exit 1; 
 echo "quick campus: zero invariant violations, events/s over floor (target/BENCH_campus.json)"
 
 echo "== serve-mode smoke (live host, crash harness, smoke budget) =="
-cargo test -q -p mcps-serve --release --test crash --test live_loop
+cargo test -q -p mcps-serve --release --lib --test crash --test live_loop
 cargo build --release -q -p mcps-bench --bin bench_serve
 ./target/release/bench_serve --quick --out target/BENCH_serve.json --max-ms 30000 > /dev/null
 test -s target/BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }

@@ -179,6 +179,7 @@ fn report(stats: &mcps_serve::ServeStats) {
         stats.peers_dropped,
         stats.routes_relearned,
     );
+    eprintln!("mcps-serve: {} polls", stats.polls);
 }
 
 /// One-shot stdio session: serve the pipes until the parent goes away.
@@ -189,24 +190,25 @@ fn serve_stdio(opts: &Options) {
     report(&host.stats());
 }
 
-/// Persistent TCP service: an accept thread feeds new connections to
-/// the serving loop; the host outlives every individual peer.
+/// Persistent TCP service: an accept thread hands new connections to
+/// the serving loop and unparks it; the host outlives every peer.
 fn serve_tcp(opts: &Options, addr: &str) {
     let listener = std::net::TcpListener::bind(addr)
         .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     eprintln!("mcps-serve: listening on {addr}");
     let (conn_tx, conn_rx) = std::sync::mpsc::channel();
+    let host_thread = std::thread::current();
     std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
+        for stream in listener.incoming().flatten() {
             if conn_tx.send(stream).is_err() {
                 return;
             }
+            host_thread.unpark();
         }
     });
     let mut host = build_host(opts, true);
-    loop {
-        while let Ok(stream) = conn_rx.try_recv() {
+    host.run_with(|host| {
+        for stream in conn_rx.try_iter() {
             let peer = stream.peer_addr().map(|a| a.to_string());
             match FramedTransport::tcp(stream) {
                 Ok(t) => {
@@ -219,11 +221,7 @@ fn serve_tcp(opts: &Options, addr: &str) {
                 Err(e) => eprintln!("mcps-serve: socket setup failed: {e}"),
             }
         }
-        if !host.poll() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    });
     report(&host.stats());
 }
 

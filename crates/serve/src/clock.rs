@@ -8,7 +8,7 @@
 //! wall second while production runs at `speed = 1.0`.
 
 use mcps_sim::time::SimTime;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Maps monotonic wall time onto the supervisor's simulation timeline.
 ///
@@ -49,6 +49,19 @@ impl ServeClock {
         let sim_us = wall_us * u128::from(self.speed_micro) / 1_000_000;
         SimTime::from_micros(u64::try_from(sim_us).unwrap_or(u64::MAX))
     }
+
+    /// The wall instant at which the clock reaches `t`: the inverse of
+    /// [`ServeClock::sim_now`], in integer µs rounded **up**, so that
+    /// `sim_now()` read at or after the returned instant is never
+    /// below `t`. (Rounding down would wake a waiting host a µs early,
+    /// find nothing due, and spin until the tick.) A target too far out
+    /// for the platform's `Instant` maps ~136 years ahead instead.
+    pub fn wall_at(&self, t: SimTime) -> Instant {
+        let speed = u128::from(self.speed_micro);
+        let wall_us = (u128::from(t.as_micros()) * 1_000_000).div_ceil(speed);
+        let wall = Duration::from_micros(u64::try_from(wall_us).unwrap_or(u64::MAX));
+        self.start.checked_add(wall).unwrap_or_else(|| self.start + Duration::from_secs(1 << 32))
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +99,36 @@ mod tests {
                 assert!(now >= prev, "clock ran backwards at speed {speed}: {prev:?} -> {now:?}");
                 prev = now;
             }
+        }
+    }
+
+    /// `wall_at` inverts `sim_now` from above: at the instant it names,
+    /// the clock has reached the target — at integer speeds and at one
+    /// whose µs products never divide evenly — and later targets never
+    /// map to earlier instants.
+    #[test]
+    fn wall_at_is_a_monotone_upper_inverse() {
+        for speed in [1.0, 30.0, 100.0, 1000.0, 7.77] {
+            let c = ServeClock::new(speed);
+            let mut prev = c.wall_at(SimTime::ZERO);
+            assert_eq!(prev, c.start);
+            for us in (1..4_000u64).map(|i| i * 997) {
+                let t = SimTime::from_micros(us);
+                let at = c.wall_at(t);
+                assert!(at >= prev, "wall_at not monotone at speed {speed}, t={t:?}");
+                let wall_us = at.duration_since(c.start).as_micros();
+                let sim_us = wall_us * u128::from(c.speed_micro) / 1_000_000;
+                assert!(sim_us >= u128::from(us), "woke before {t:?} at speed {speed}");
+                // Tight: one µs earlier the target is not yet reached.
+                let early = (wall_us - 1) * u128::from(c.speed_micro) / 1_000_000;
+                assert!(early < u128::from(us), "wall_at overshoots {t:?} at speed {speed}");
+                prev = at;
+            }
+            // And live: a reading taken at the returned instant.
+            let t = c.sim_now().saturating_add(mcps_sim::time::SimDuration::from_micros(1_500));
+            let at = c.wall_at(t);
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            assert!(c.sim_now() >= t, "sim_now below target after wall_at at speed {speed}");
         }
     }
 

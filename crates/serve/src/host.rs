@@ -14,6 +14,22 @@
 //!   load-bearing protocol steps and are never dropped (the queue may
 //!   transiently exceed its bound to hold them).
 //!
+//! # Waiting
+//!
+//! [`ServeHost::run`] does not poll on a fixed timer. Between polls the
+//! host thread parks until the next tick is due
+//! ([`ServeClock::wall_at`]) or a peer signals traffic, whichever comes
+//! first. A peer that can signal ([`Transport::set_waker`]; the framed
+//! transports can) has its reader thread unpark the host once per
+//! decoded read chunk (and every 128 frames within a long one) and at
+//! EOF, so a frame is served as soon as it is decoded and a closed peer
+//! ends a session at once. A peer that cannot signal — an in-memory
+//! channel, a chaos wrapper whose held frames are only released when
+//! polled — caps the wait at 1 ms. The wait is therefore
+//! `min(next tick, 1 ms if any peer cannot signal)`, and an idle host
+//! polls about once per tick. Shedding is then what it claims to be:
+//! the host falling behind its input, not sleeping through it.
+//!
 //! # Peers and fault scoping
 //!
 //! The host serves a *set* of peer connections, not a single pipe. The
@@ -46,6 +62,11 @@ use mcps_core::{CoreInput, CoreOutputs, SupervisorCore};
 use mcps_net::fabric::EndpointId;
 use mcps_sim::prelude::{RngFactory, SimRng, SimTime};
 use std::collections::VecDeque;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
+
+/// Longest wait between polls while any peer cannot signal arrivals.
+const UNSIGNALLED_POLL: Duration = Duration::from_millis(1);
 
 /// Tunables for a [`ServeHost`].
 #[derive(Debug, Clone)]
@@ -101,12 +122,17 @@ pub struct ServeStats {
     /// Journal append failures (the host keeps serving; durability is
     /// degraded, safety is not).
     pub journal_errors: u64,
+    /// Scheduling rounds ([`ServeHost::poll`] calls) — about one per
+    /// tick for an idle host whose peers all signal arrivals.
+    pub polls: u64,
 }
 
 /// One peer connection.
 struct Peer<T> {
     id: u64,
     transport: T,
+    /// Whether the transport unparks the host on arrivals.
+    wakes: bool,
 }
 
 /// Hosts a [`SupervisorCore`] live behind a set of peer [`Transport`]s.
@@ -128,6 +154,8 @@ pub struct ServeHost<T: Transport> {
     journal: Option<Journal>,
     /// Fencing fingerprint of the last journaled checkpoint.
     journal_fp: Option<(u64, u64, bool, bool)>,
+    /// The thread [`ServeHost::run`] parks, once it has started.
+    waker: Option<Thread>,
     closed: bool,
 }
 
@@ -172,15 +200,19 @@ impl<T: Transport> ServeHost<T> {
             stats: ServeStats::default(),
             journal: None,
             journal_fp: None,
+            waker: None,
             closed: false,
         }
     }
 
-    /// Adds a peer connection; returns its id.
-    pub fn add_peer(&mut self, transport: T) -> u64 {
+    /// Adds a peer connection; returns its id. Once
+    /// [`ServeHost::run_with`] has started, the peer is asked to wake the
+    /// host on arrivals.
+    pub fn add_peer(&mut self, mut transport: T) -> u64 {
         let id = self.next_peer_id;
         self.next_peer_id += 1;
-        self.peers.push(Peer { id, transport });
+        let wakes = self.waker.clone().is_some_and(|host| transport.set_waker(host));
+        self.peers.push(Peer { id, transport, wakes });
         self.stats.peers_connected += 1;
         id
     }
@@ -235,6 +267,7 @@ impl<T: Transport> ServeHost<T> {
     /// over (all peers gone, non-persistent) — pending work is still
     /// completed first.
     pub fn poll(&mut self) -> bool {
+        self.stats.polls += 1;
         self.drain_transports();
         let now = self.clock.sim_now();
         while self.next_tick <= now {
@@ -254,10 +287,41 @@ impl<T: Transport> ServeHost<T> {
         !self.closed
     }
 
-    /// Runs until the session ends, sleeping briefly when idle.
+    /// Runs until the session ends, parking between polls until a
+    /// frame arrives or the next tick is due (see the module docs).
     pub fn run(&mut self) {
-        while self.poll() {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        self.run_with(|_| {});
+    }
+
+    /// [`ServeHost::run`] with `before_poll` called ahead of every poll
+    /// — how the TCP service adds accepted peers. Whoever feeds the hook
+    /// from another thread must unpark the calling thread when it has
+    /// something, or the hook waits for the next poll.
+    pub fn run_with(&mut self, mut before_poll: impl FnMut(&mut Self)) {
+        let me = std::thread::current();
+        for peer in &mut self.peers {
+            peer.wakes = peer.transport.set_waker(me.clone());
+        }
+        self.waker = Some(me);
+        loop {
+            before_poll(self);
+            if !self.poll() {
+                return;
+            }
+            self.wait();
+        }
+    }
+
+    /// Parks until the next tick is due, for at most 1 ms while any
+    /// peer cannot signal; a signalling peer's arrivals cut it short.
+    fn wait(&self) {
+        let now = Instant::now();
+        let mut until = self.clock.wall_at(self.next_tick);
+        if self.peers.iter().any(|p| !p.wakes) {
+            until = until.min(now + UNSIGNALLED_POLL);
+        }
+        if until > now {
+            std::thread::park_timeout(until - now);
         }
     }
 

@@ -13,12 +13,16 @@
 //!
 //! All receives are non-blocking (`try_recv`), because both host and
 //! client own a clock-driven loop that must keep ticking regardless of
-//! traffic.
+//! traffic. A transport that can tell when traffic arrives says so
+//! through [`Transport::set_waker`], which lets the host sleep until
+//! then instead of polling on a timer.
 
 use crate::wire::{encode_frame, FrameDecoder};
 use mcps_core::msg::NetOp;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 
 /// Why a transport operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +55,15 @@ pub trait Transport {
     /// means the peer is gone for good (pending messages are still
     /// drained first).
     fn try_recv(&mut self) -> Result<Option<NetOp>, TransportError>;
+
+    /// Asks the transport to [`Thread::unpark`] `host` whenever new
+    /// messages (or closure) become visible to [`Transport::try_recv`].
+    /// Returns whether it will: a transport that returns `false` — the
+    /// default — is polled on a short timer instead.
+    fn set_waker(&mut self, host: Thread) -> bool {
+        let _ = host;
+        false
+    }
 }
 
 /// An in-memory transport half; create a connected pair with
@@ -93,7 +106,20 @@ impl Transport for ChannelTransport {
 pub struct FramedTransport<W: Write> {
     writer: W,
     rx: Receiver<NetOp>,
+    /// The thread the reader unparks after each decoded chunk and at
+    /// EOF (see [`Transport::set_waker`]).
+    waker: WakeSlot,
     closed: bool,
+}
+
+/// The host thread a reader wakes, once one is registered. The slot is
+/// only ever replaced whole, so a poisoned lock still holds a valid value.
+type WakeSlot = Arc<Mutex<Option<Thread>>>;
+
+fn wake(waker: &WakeSlot) {
+    if let Some(host) = waker.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+        host.unpark();
+    }
 }
 
 impl<W: Write> std::fmt::Debug for FramedTransport<W> {
@@ -108,25 +134,58 @@ impl<W: Write> FramedTransport<W> {
     /// stream is skipped by the codec (see [`crate::wire`]).
     pub fn new<R: Read + Send + 'static>(reader: R, writer: W) -> Self {
         let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || read_loop(reader, &tx));
-        FramedTransport { writer, rx, closed: false }
+        let waker = WakeSlot::default();
+        let reader_waker = Arc::clone(&waker);
+        std::thread::spawn(move || {
+            read_loop(reader, &tx, &reader_waker);
+            // Disconnect first, then wake: the woken host must see the
+            // closure, not an empty queue.
+            drop(tx);
+            wake(&reader_waker);
+        });
+        FramedTransport { writer, rx, waker, closed: false }
     }
 }
 
-fn read_loop<R: Read>(mut reader: R, tx: &Sender<NetOp>) {
+/// Bytes asked of one `read()`: a full pipe's worth, so a reader that
+/// has fallen behind catches up in few syscalls and few wakes.
+const READ_CHUNK: usize = 64 * 1024;
+/// Bytes handed to the decoder at a time, which bounds its buffer.
+const DECODE_SLICE: usize = 4096;
+/// Most frames decoded between two wakes, so the host drains a long
+/// chunk in batches well inside its ingress bound.
+const WAKE_EVERY: usize = 128;
+
+/// Decodes frames off `reader` until EOF, a read error or a dropped
+/// receiver, waking the host once per decoded chunk (and every
+/// [`WAKE_EVERY`] frames within one) — not once per frame.
+fn read_loop<R: Read>(mut reader: R, tx: &Sender<NetOp>, waker: &WakeSlot) {
     let mut dec = FrameDecoder::new();
-    let mut chunk = [0u8; 4096];
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
-        match reader.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => {
-                dec.push(&chunk[..n]);
-                while let Some(op) = dec.next_frame() {
-                    if tx.send(op).is_err() {
-                        return;
-                    }
+        let n = match reader.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => n,
+            // A signal landing mid-read is not the peer going away.
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        let mut unsignalled = 0;
+        for slice in chunk[..n].chunks(DECODE_SLICE) {
+            dec.push(slice);
+            while let Some(op) = dec.next_frame() {
+                if tx.send(op).is_err() {
+                    return;
+                }
+                unsignalled += 1;
+                if unsignalled == WAKE_EVERY {
+                    wake(waker);
+                    unsignalled = 0;
                 }
             }
+        }
+        if unsignalled > 0 {
+            wake(waker);
         }
     }
 }
@@ -163,7 +222,7 @@ impl<W: Write> Transport for FramedTransport<W> {
             // A broken pipe means the peer died (the crash harness
             // relies on surviving exactly this); everything else is a
             // plain I/O error.
-            return if e.kind() == std::io::ErrorKind::BrokenPipe {
+            return if e.kind() == ErrorKind::BrokenPipe {
                 self.closed = true;
                 Err(TransportError::Closed)
             } else {
@@ -179,6 +238,11 @@ impl<W: Write> Transport for FramedTransport<W> {
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
         }
+    }
+
+    fn set_waker(&mut self, host: Thread) -> bool {
+        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(host);
+        true
     }
 }
 
@@ -212,6 +276,50 @@ mod tests {
         let (a, mut b) = ChannelTransport::pair();
         drop(a);
         assert_eq!(b.try_recv(), Err(TransportError::Closed));
+    }
+
+    /// A reader following a script of results; once the script runs
+    /// out it blocks until `gate` is dropped, then reports EOF.
+    struct ScriptedReader {
+        script: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
+        gate: Receiver<()>,
+    }
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.script.pop_front() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(e)) => Err(e),
+                None => {
+                    let _ = self.gate.recv();
+                    Ok(0)
+                }
+            }
+        }
+    }
+
+    /// EINTR is a retry, not EOF: a signal landing on the reader
+    /// thread must not drop the peer (on stdio, end the session).
+    #[test]
+    fn interrupted_read_is_retried_not_treated_as_eof() {
+        let (gate_tx, gate) = mpsc::channel();
+        let script = [Err(std::io::Error::from(ErrorKind::Interrupted)), Ok(encode_frame(&cmd(7)))];
+        let reader = ScriptedReader { script: script.into_iter().collect(), gate };
+        let mut t = FramedTransport::new(reader, Vec::new());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let got = loop {
+            match t.try_recv() {
+                Ok(Some(op)) => break op,
+                Ok(None) if std::time::Instant::now() < deadline => std::thread::yield_now(),
+                other => panic!("frame after EINTR never arrived: {other:?}"),
+            }
+        };
+        assert_eq!(got, cmd(7));
+        assert_eq!(t.try_recv(), Ok(None), "the transport must stay open after EINTR");
+        drop(gate_tx);
     }
 
     #[test]

@@ -3,14 +3,24 @@
 //! thread (the bed holds `Rc` patient state and is deliberately not
 //! `Send`). Proves the full live path — announce, associate, stream
 //! vitals, detect danger, stop the pump — outside the simulator.
+//!
+//! The `wake_*` tests drive [`ServeHost::run`] itself at real-time
+//! speed (one tick per wall second): an idle host polls about once per
+//! tick, a frame or a closed peer on a signalling transport is served
+//! at once, and a peer that cannot signal is still polled every 1 ms.
 
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
+use mcps_core::msg::{NetOp, NetPayload};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_patient::vitals::VitalKind;
-use mcps_serve::client::{PcaBedClient, SUP_EP};
+use mcps_serve::client::{PcaBedClient, OX_EP, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
-use mcps_serve::transport::ChannelTransport;
-use mcps_sim::time::SimDuration;
+use mcps_serve::transport::{ChannelTransport, FramedTransport, Transport, TransportError};
+use mcps_serve::wire::encode_frame;
+use mcps_sim::time::{SimDuration, SimTime};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 const SPEED: f64 = 200.0;
@@ -124,4 +134,149 @@ fn host_survives_client_disconnect() {
     }
     assert!(!open, "host failed to notice the peer going away");
     assert!(host.is_closed());
+}
+
+/// Shared slot for an instant stamped on another thread.
+type Stamp = Arc<Mutex<Option<Instant>>>;
+
+fn stamp(slot: &Stamp) {
+    slot.lock().unwrap().get_or_insert_with(Instant::now);
+}
+
+fn stamped(slot: &Stamp) -> Instant {
+    slot.lock().unwrap().expect("never stamped")
+}
+
+/// Forwards to `inner`, stamping when the host first receives a message.
+struct Stamped<T> {
+    inner: T,
+    first_rx: Stamp,
+}
+
+impl<T: Transport> Transport for Stamped<T> {
+    fn send(&mut self, op: &NetOp) -> Result<(), TransportError> {
+        self.inner.send(op)
+    }
+
+    fn try_recv(&mut self) -> Result<Option<NetOp>, TransportError> {
+        let got = self.inner.try_recv();
+        if let Ok(Some(_)) = got {
+            stamp(&self.first_rx);
+        }
+        got
+    }
+
+    fn set_waker(&mut self, host: Thread) -> bool {
+        self.inner.set_waker(host)
+    }
+}
+
+/// A real-time host (1 s ticks) serving one peer.
+fn realtime_host<T: Transport>(transport: T) -> ServeHost<T> {
+    ServeHost::new(command_core(), transport, ServeConfig { speed: 1.0, ..Default::default() })
+}
+
+fn vital_op() -> NetOp {
+    NetOp::Deliver {
+        from: OX_EP,
+        payload: NetPayload::Data { kind: VitalKind::Spo2, value: 97.0, sampled_at: SimTime::ZERO },
+    }
+}
+
+/// A pipe-backed framed peer whose writer end the test keeps.
+fn pipe_peer() -> (FramedTransport<std::io::Sink>, std::io::PipeWriter) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    (FramedTransport::new(reader, std::io::sink()), writer)
+}
+
+#[test]
+fn wake_idle_host_polls_about_once_per_tick() {
+    let (peer, writer) = pipe_peer();
+    let mut host = realtime_host(peer);
+    // About three ticks of wall time (ticks at 0, 1 and 2 s), then EOF
+    // half a tick away from the next one.
+    let closer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(2_500));
+        drop(writer);
+    });
+    host.run();
+    closer.join().unwrap();
+    let stats = host.stats();
+    assert!(stats.ticks_fired >= 3, "ticks did not fire on time: {stats:?}");
+    assert!(
+        stats.polls <= stats.ticks_fired + 2,
+        "idle host polled {} times over {} ticks; expected one per tick plus the EOF",
+        stats.polls,
+        stats.ticks_fired
+    );
+}
+
+#[test]
+fn wake_frame_is_served_well_before_the_next_tick() {
+    let (peer, mut writer) = pipe_peer();
+    let first_rx = Stamp::default();
+    let mut host = realtime_host(Stamped { inner: peer, first_rx: Arc::clone(&first_rx) });
+    let written = Stamp::default();
+    let feeder = {
+        let written = Arc::clone(&written);
+        std::thread::spawn(move || {
+            // Land mid-tick: the t = 0 tick has fired, the next is ~0.8 s off.
+            std::thread::sleep(Duration::from_millis(200));
+            stamp(&written);
+            writer.write_all(&encode_frame(&vital_op())).unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+        })
+    };
+    host.run();
+    feeder.join().unwrap();
+    let lag = stamped(&first_rx).saturating_duration_since(stamped(&written));
+    assert!(lag < Duration::from_millis(50), "frame waited {lag:?} for the host");
+    assert_eq!(host.stats().deliveries, 1);
+}
+
+#[test]
+fn wake_closed_peer_ends_run_promptly() {
+    let (peer, writer) = pipe_peer();
+    let mut host = realtime_host(peer);
+    let closed = Stamp::default();
+    let closer = {
+        let closed = Arc::clone(&closed);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            stamp(&closed);
+            drop(writer);
+        })
+    };
+    host.run();
+    let ended = Instant::now();
+    closer.join().unwrap();
+    let lag = ended.saturating_duration_since(stamped(&closed));
+    assert!(lag < Duration::from_millis(100), "run() outlived its last peer by {lag:?}");
+    assert!(host.is_closed());
+    assert_eq!(host.stats().ticks_fired, 1, "the session should end before the 1 s tick");
+}
+
+#[test]
+fn wake_unsignalled_peer_is_served_at_1ms_cadence() {
+    let (server_t, mut client_t) = ChannelTransport::pair();
+    let first_rx = Stamp::default();
+    let mut host = realtime_host(Stamped { inner: server_t, first_rx: Arc::clone(&first_rx) });
+    let sent = Stamp::default();
+    let client = {
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            stamp(&sent);
+            client_t.send(&vital_op()).unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+        })
+    };
+    host.run();
+    client.join().unwrap();
+    let lag = stamped(&first_rx).saturating_duration_since(stamped(&sent));
+    assert!(lag < Duration::from_millis(50), "unsignalled frame waited {lag:?}");
+    let stats = host.stats();
+    assert_eq!(stats.deliveries, 1);
+    // ~250 ms at 1 ms cadence is ~250 polls; allow a slow scheduler.
+    assert!(stats.polls >= 50, "only {} polls in ~250 ms: not a 1 ms cadence", stats.polls);
 }
