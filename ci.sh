@@ -47,6 +47,12 @@
 #      fault-campaign invariant violation (epoch must climb, danger→stop
 #      ≤ 30 protocol-s across a restart, watchdog latch on long outages,
 #      zero double actuations), emitting BENCH_soak.json
+#  12. benchmark build                           — perfbench is its own
+#      cargo project (not a workspace member), so nothing above compiles
+#      it; build it against the crates and run its unit tests, so a
+#      deleted or renamed public item it imports fails here rather than
+#      at benchmark time. perfbench/tests/short.rs (live servers) is
+#      deliberately not run.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -126,5 +132,8 @@ cargo build --release -q -p mcps-serve --bin mcps-serve
 ./target/release/bench_soak --quick --out target/BENCH_soak.json --max-ms 60000 > /dev/null
 test -s target/BENCH_soak.json || { echo "BENCH_soak.json missing"; exit 1; }
 echo "quick soak: zero invariant violations across kill -9 restarts (target/BENCH_soak.json)"
+
+echo "== benchmark build (perfbench against the workspace crates) =="
+cargo test --release -q --manifest-path perfbench/Cargo.toml --bin perfbench
 
 echo "CI OK"

@@ -603,11 +603,6 @@ impl VentilatorActor {
     pub fn ventilator(&self) -> &Ventilator {
         &self.vent
     }
-
-    /// Mutable access (scenario scoring).
-    pub fn ventilator_mut(&mut self) -> &mut Ventilator {
-        &mut self.vent
-    }
 }
 
 impl Actor<IceMsg> for VentilatorActor {

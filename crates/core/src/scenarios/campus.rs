@@ -48,7 +48,7 @@ use crate::apps::{PcaSafetyApp, WardMonitorApp, WorkflowStyle, XRayCoordinatorAp
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
 use crate::netctl::{topics, NetworkController};
-use crate::supervisor::Supervisor;
+use crate::supervisor::{Supervisor, SupervisorCore};
 
 /// Configuration of the campus.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -333,10 +333,12 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
                 let sup_id = sim.add_actor(
                     &format!("{scope}/supervisor"),
                     Supervisor::new(
-                        PcaSafetyApp::new(InterlockConfig::default()),
+                        SupervisorCore::new(
+                            PcaSafetyApp::new(InterlockConfig::default()),
+                            ep_sup,
+                            SimDuration::from_secs(2),
+                        ),
                         nc_id,
-                        ep_sup,
-                        SimDuration::from_secs(2),
                     ),
                 );
                 {
@@ -394,12 +396,14 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
                 let sup_id = sim.add_actor(
                     &format!("{scope}/supervisor"),
                     Supervisor::new(
-                        WardMonitorApp::new(),
+                        SupervisorCore::new(
+                            WardMonitorApp::new(),
+                            ep_sup,
+                            SimDuration::from_secs(5),
+                        )
+                        .with_step(config.monitor_sup_step),
                         nc_id,
-                        ep_sup,
-                        SimDuration::from_secs(5),
-                    )
-                    .with_step(config.monitor_sup_step),
+                    ),
                 );
                 {
                     let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
@@ -431,15 +435,17 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
         let sup_id = sim.add_actor(
             "proc/supervisor",
             Supervisor::new(
-                XRayCoordinatorApp::new(
-                    WorkflowStyle::Automated,
-                    exposures,
-                    SimDuration::from_secs(90),
-                    SimDuration::from_secs(15),
+                SupervisorCore::new(
+                    XRayCoordinatorApp::new(
+                        WorkflowStyle::Automated,
+                        exposures,
+                        SimDuration::from_secs(90),
+                        SimDuration::from_secs(15),
+                    ),
+                    ep_sup,
+                    SimDuration::from_secs(2),
                 ),
                 nc_id,
-                ep_sup,
-                SimDuration::from_secs(2),
             ),
         );
         {
@@ -470,7 +476,7 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
         events: sim.events_processed(),
     };
     for b in &bed_refs {
-        let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor");
+        let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor").core();
         out.admitted += u32::from(sup.associated_at().is_some());
         out.associated_at_end += u32::from(sup.manager().fully_associated());
         out.discharged += u32::from(b.discharged);
@@ -484,7 +490,7 @@ pub fn run_campus_ward(config: &CampusConfig, plan: &WardPlan) -> WardOutcome {
         }
     }
     if let Some(sup_id) = proc_sup {
-        let sup = sim.actor_as::<Supervisor>(sup_id).expect("proc supervisor");
+        let sup = sim.actor_as::<Supervisor>(sup_id).expect("proc supervisor").core();
         if let Some(app) = sup.app_as::<XRayCoordinatorApp>() {
             out.xray_completed = app.completed();
         }

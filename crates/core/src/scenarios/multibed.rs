@@ -26,7 +26,7 @@ use crate::apps::PcaSafetyApp;
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
 use crate::netctl::{topics, NetworkController};
-use crate::supervisor::Supervisor;
+use crate::supervisor::{Supervisor, SupervisorCore};
 
 /// Configuration of the shared-fabric ward.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -151,10 +151,12 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
         let sup_id = sim.add_actor(
             &format!("{scope}/supervisor"),
             Supervisor::new(
-                PcaSafetyApp::new(InterlockConfig::default()),
+                SupervisorCore::new(
+                    PcaSafetyApp::new(InterlockConfig::default()),
+                    ep_sup,
+                    SimDuration::from_secs(2),
+                ),
                 nc_id,
-                ep_sup,
-                SimDuration::from_secs(2),
             ),
         );
         {
@@ -177,7 +179,7 @@ pub fn run_multibed_scenario(config: &MultiBedConfig) -> Vec<BedOutcome> {
     beds.iter()
         .enumerate()
         .map(|(i, b)| {
-            let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor");
+            let sup = sim.actor_as::<Supervisor>(b.sup_id).expect("supervisor").core();
             let pump = sim.actor_as::<PumpActor>(b.pump_id).expect("pump");
             let _ = sim.actor_as::<PatientActor>(b.patient_id);
             let end = config.duration.as_secs_f64() - 1.0;

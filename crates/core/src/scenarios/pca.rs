@@ -27,7 +27,7 @@ use crate::apps::PcaSafetyApp;
 use crate::body::{PatientActor, PatientBody};
 use crate::msg::IceMsg;
 use crate::netctl::{topics, NetworkController};
-use crate::supervisor::{Supervisor, SupervisorRole};
+use crate::supervisor::{Supervisor, SupervisorCore, SupervisorRole};
 
 /// Complete configuration of one PCA scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -330,22 +330,20 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
         sim.add_actor("patient", actor)
     };
     let sup_id = config.interlock.map(|il| {
-        let mut s =
-            Supervisor::new(PcaSafetyApp::new(il), nc_id, ep_sup, SimDuration::from_secs(2))
+        let mut core =
+            SupervisorCore::new(PcaSafetyApp::new(il), ep_sup, SimDuration::from_secs(2))
                 .with_faults(config.supervisor_fault.clone());
         if ep_standby.is_some() {
-            s = s.with_redundancy("");
+            core = core.with_redundancy("");
         }
-        sim.add_actor("supervisor", s)
+        sim.add_actor("supervisor", Supervisor::new(core, nc_id))
     });
     let standby_id = ep_standby.map(|ep| {
         let il = config.interlock.expect("standby supervisor requires an interlock");
-        sim.add_actor(
-            "supervisor-standby",
-            Supervisor::new(PcaSafetyApp::new(il), nc_id, ep, SimDuration::from_secs(2))
-                .with_role(SupervisorRole::Standby)
-                .with_redundancy(""),
-        )
+        let core = SupervisorCore::new(PcaSafetyApp::new(il), ep, SimDuration::from_secs(2))
+            .with_role(SupervisorRole::Standby)
+            .with_redundancy("");
+        sim.add_actor("supervisor-standby", Supervisor::new(core, nc_id))
     });
     {
         let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
@@ -416,7 +414,7 @@ pub fn run_pca_scenario(config: &PcaScenarioConfig) -> PcaScenarioOutcome {
     // whichever supervisor got furthest). With no standby this is just
     // the primary's figures; with no interlock it stays all-zero.
     for id in [sup_id, standby_id].into_iter().flatten() {
-        let sup = sim.actor_as::<Supervisor>(id).expect("supervisor actor");
+        let sup = sim.actor_as::<Supervisor>(id).expect("supervisor actor").core();
         sup_stats.associated |= sup.associated_at().is_some();
         sup_stats.associations_completed =
             sup_stats.associations_completed.max(sup.associations_completed());

@@ -17,7 +17,7 @@ use crate::actors::{VentilatorActor, XRayActor};
 use crate::apps::{WorkflowStyle, XRayCoordinatorApp};
 use crate::msg::IceMsg;
 use crate::netctl::{topics, NetworkController};
-use crate::supervisor::Supervisor;
+use crate::supervisor::{Supervisor, SupervisorCore};
 use mcps_device::ventilator::{Ventilator, VentilatorConfig};
 use mcps_device::xray::{XRayConfig, XRayMachine};
 
@@ -119,8 +119,8 @@ pub fn run_xray_scenario(config: &XRayScenarioConfig) -> XRayScenarioOutcome {
         config.interval,
         config.pause_duration,
     );
-    let sup_id =
-        sim.add_actor("supervisor", Supervisor::new(app, nc_id, ep_sup, SimDuration::from_secs(2)));
+    let core = SupervisorCore::new(app, ep_sup, SimDuration::from_secs(2));
+    let sup_id = sim.add_actor("supervisor", Supervisor::new(core, nc_id));
     {
         let nc = sim.actor_as_mut::<NetworkController>(nc_id).unwrap();
         nc.bind(ep_vent, vent_id);
@@ -136,7 +136,7 @@ pub fn run_xray_scenario(config: &XRayScenarioConfig) -> XRayScenarioOutcome {
         SimTime::ZERO + config.interval * u64::from(config.exposures) + SimDuration::from_mins(10);
     sim.run_until(horizon);
 
-    let sup = sim.actor_as::<Supervisor>(sup_id).expect("supervisor");
+    let sup = sim.actor_as::<Supervisor>(sup_id).expect("supervisor").core();
     let app = sup.app_as::<XRayCoordinatorApp>().expect("app");
     let vent = sim.actor_as::<VentilatorActor>(vent_id).expect("ventilator").ventilator();
     let xray = sim.actor_as::<XRayActor>(xray_id).expect("xray").xray();

@@ -49,15 +49,9 @@ pub use sans_io::{
     CheckpointState, CoreInput, CoreOutputs, SupervisorCore, SupervisorRole, HEARTBEAT_PERIOD,
 };
 
-use mcps_device::faults::FaultPlan;
-use mcps_net::fabric::EndpointId;
-use mcps_net::monitor::DeadlineTracker;
 use mcps_sim::actor::{Actor, ActorId};
 use mcps_sim::kernel::Context;
-use mcps_sim::time::{SimDuration, SimTime};
 
-use crate::app::ClinicalApp;
-use crate::manager::DeviceManager;
 use crate::msg::{IceMsg, NetOp};
 
 /// The supervisor actor: [`SupervisorCore`] adapted to the simulation
@@ -76,162 +70,16 @@ impl std::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// Creates a supervisor hosting `app`, with a command-RTT deadline
-    /// used for the E4 statistics and as the ack-expiry horizon.
-    pub fn new(
-        app: impl ClinicalApp,
-        netctl: ActorId,
-        endpoint: EndpointId,
-        rtt_deadline: SimDuration,
-    ) -> Self {
-        Supervisor {
-            core: SupervisorCore::new(app, endpoint, rtt_deadline),
-            netctl,
-            out: CoreOutputs::new(),
-        }
-    }
-
-    /// Sets the control-tick re-arm period (see
-    /// [`SupervisorCore::with_step`]).
-    pub fn with_step(mut self, step: SimDuration) -> Self {
-        self.core = self.core.with_step(step);
-        self
-    }
-
-    /// Sets the role in a redundant pair (see [`SupervisorCore::with_role`]).
-    pub fn with_role(mut self, role: SupervisorRole) -> Self {
-        self.core = self.core.with_role(role);
-        self
-    }
-
-    /// Enables primary/standby redundancy under `scope` (see
-    /// [`SupervisorCore::with_redundancy`]).
-    pub fn with_redundancy(mut self, scope: &str) -> Self {
-        self.core = self.core.with_redundancy(scope);
-        self
-    }
-
-    /// Attaches the supervisor's own fault schedule (see
-    /// [`SupervisorCore::with_faults`]).
-    pub fn with_faults(mut self, fault: FaultPlan) -> Self {
-        self.core = self.core.with_faults(fault);
-        self
+    /// Wraps `core` (configured with its own `with_*` builders) as a
+    /// kernel actor whose sends go through the network controller
+    /// `netctl`.
+    pub fn new(core: SupervisorCore, netctl: ActorId) -> Self {
+        Supervisor { core, netctl, out: CoreOutputs::new() }
     }
 
     /// The underlying sans-io core (every counter and latch lives there).
     pub fn core(&self) -> &SupervisorCore {
         &self.core
-    }
-
-    /// The device manager (association state).
-    pub fn manager(&self) -> &DeviceManager {
-        self.core.manager()
-    }
-
-    /// Data points received from associated devices.
-    pub fn data_received(&self) -> u64 {
-        self.core.data_received()
-    }
-
-    /// Data points ignored because the sender was not associated.
-    pub fn data_ignored(&self) -> u64 {
-        self.core.data_ignored()
-    }
-
-    /// Commands sent (excluding retransmissions).
-    pub fn commands_sent(&self) -> u64 {
-        self.core.commands_sent()
-    }
-
-    /// Retransmissions of unacknowledged retryable commands.
-    pub fn commands_retried(&self) -> u64 {
-        self.core.commands_retried()
-    }
-
-    /// App commands suppressed while degraded.
-    pub fn commands_suppressed(&self) -> u64 {
-        self.core.commands_suppressed()
-    }
-
-    /// Command round-trip statistics.
-    pub fn rtt(&self) -> &DeadlineTracker {
-        self.core.rtt()
-    }
-
-    /// When association (first) completed, if it did.
-    pub fn associated_at(&self) -> Option<SimTime> {
-        self.core.associated_at()
-    }
-
-    /// Completed associations (> 1 means at least one hot-swap).
-    pub fn associations_completed(&self) -> u32 {
-        self.core.associations_completed()
-    }
-
-    /// Whether the supervisor is currently in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.core.is_degraded()
-    }
-
-    /// The latched alarm reason, if an alarm is active.
-    pub fn alarm(&self) -> Option<&'static str> {
-        self.core.alarm()
-    }
-
-    /// Degraded windows `(entered, exited)`, oldest first; an open
-    /// window has `None` as its exit.
-    pub fn degraded_log(&self) -> &[(SimTime, Option<SimTime>)] {
-        self.core.degraded_log()
-    }
-
-    /// Times the ack watchdog escalated a lost stop command.
-    pub fn watchdog_escalations(&self) -> u32 {
-        self.core.watchdog_escalations()
-    }
-
-    /// Current role (a standby flips to primary at promotion).
-    pub fn role(&self) -> SupervisorRole {
-        self.core.role()
-    }
-
-    /// Current fencing epoch.
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// Standby → primary promotions performed.
-    pub fn failovers(&self) -> u32 {
-        self.core.failovers()
-    }
-
-    /// Primary → standby demotions (split-brain resolution).
-    pub fn stepdowns(&self) -> u32 {
-        self.core.stepdowns()
-    }
-
-    /// App commands dropped because this supervisor was standby.
-    pub fn standby_suppressed(&self) -> u64 {
-        self.core.standby_suppressed()
-    }
-
-    /// Heartbeats sent / acknowledged / given up on.
-    pub fn heartbeat_counts(&self) -> (u64, u64, u64) {
-        self.core.heartbeat_counts()
-    }
-
-    /// Heartbeat round-trip times, milliseconds, in completion order.
-    pub fn heartbeat_rtts_ms(&self) -> &[f64] {
-        self.core.heartbeat_rtts_ms()
-    }
-
-    /// Command ids the peer reported inflight in its last checkpoint.
-    pub fn replicated_inflight_ids(&self) -> &[u64] {
-        self.core.replicated_inflight_ids()
-    }
-
-    /// Typed access to the hosted app's concrete state.
-    pub fn app_as<T: 'static>(&self) -> Option<&T> {
-        self.core.app_as::<T>()
     }
 }
 
@@ -268,15 +116,15 @@ impl Actor<IceMsg> for Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::AppCtx;
+    use crate::app::{AppCtx, ClinicalApp};
     use crate::msg::{IceCommand, NetPayload};
     use crate::netctl::NetworkController;
     use mcps_device::profile::{DeviceClass, DeviceRequirementSet, Requirement};
-    use mcps_net::fabric::Fabric;
+    use mcps_net::fabric::{EndpointId, Fabric};
     use mcps_net::qos::LinkQos;
     use mcps_patient::vitals::VitalKind;
     use mcps_sim::kernel::Simulation;
-    use mcps_sim::time::SimTime;
+    use mcps_sim::time::{SimDuration, SimTime};
     use sans_io::MAX_RETRIES;
 
     /// A minimal app that records its callbacks.
@@ -338,6 +186,10 @@ mod tests {
         sim.run();
     }
 
+    fn core_of(sim: &Simulation<IceMsg>, sup: ActorId) -> &SupervisorCore {
+        sim.actor_as::<Supervisor>(sup).unwrap().core()
+    }
+
     fn setup() -> (Simulation<IceMsg>, ActorId, EndpointId, EndpointId) {
         setup_with(Probe::default())
     }
@@ -349,8 +201,8 @@ mod tests {
         let sup_ep = fabric.add_endpoint("sup");
         let mut sim: Simulation<IceMsg> = Simulation::new(4);
         let nc = sim.add_actor("netctl", NetworkController::new(fabric));
-        let sup = sim
-            .add_actor("supervisor", Supervisor::new(app, nc, sup_ep, SimDuration::from_secs(2)));
+        let core = SupervisorCore::new(app, sup_ep, SimDuration::from_secs(2));
+        let sup = sim.add_actor("supervisor", Supervisor::new(core, nc));
         (sim, sup, dev, sup_ep)
     }
 
@@ -371,7 +223,7 @@ mod tests {
             dev,
             NetPayload::Data { kind: VitalKind::Spo2, value: 97.0, sampled_at: SimTime::ZERO },
         );
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.data_received(), 0);
         assert_eq!(s.data_ignored(), 1);
         assert!(s.app_as::<Probe>().unwrap().data_points.is_empty());
@@ -387,7 +239,7 @@ mod tests {
             NetPayload::Announce { profile: monitor_profile(), endpoint: dev },
         );
         {
-            let s = sim.actor_as::<Supervisor>(sup).unwrap();
+            let s = core_of(&sim, sup);
             assert!(s.manager().fully_associated());
             assert_eq!(s.app_as::<Probe>().unwrap().associated_calls, 1);
             assert_eq!(s.associations_completed(), 1);
@@ -398,7 +250,7 @@ mod tests {
             dev,
             NetPayload::Data { kind: VitalKind::Spo2, value: 96.0, sampled_at: SimTime::ZERO },
         );
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.data_received(), 1);
         assert_eq!(s.app_as::<Probe>().unwrap().data_points, vec![(VitalKind::Spo2, 96.0)]);
     }
@@ -414,7 +266,7 @@ mod tests {
                 NetPayload::Announce { profile: monitor_profile(), endpoint: dev },
             );
         }
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.app_as::<Probe>().unwrap().associated_calls, 1);
         assert_eq!(s.associations_completed(), 1);
     }
@@ -431,7 +283,7 @@ mod tests {
         // Supervisor ticks for 40 s with no data: liveness vacates.
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert!(!s.manager().fully_associated(), "silent device must vacate its slot");
         assert!(s.app_as::<Probe>().unwrap().ticks > 30);
         // Losing a streaming device is a degraded-mode entry.
@@ -458,7 +310,7 @@ mod tests {
         sim.actor_as_mut::<Supervisor>(sup).unwrap().core.last_data.remove(&dev);
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(5));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert!(
             s.manager().fully_associated(),
             "a device with no data *yet* must not be vacated instantly"
@@ -468,7 +320,7 @@ mod tests {
         // silence later the device is gone.
         let mut sim2 = sim;
         sim2.run_until(sim2.now() + SimDuration::from_secs(40));
-        assert!(!sim2.actor_as::<Supervisor>(sup).unwrap().manager().fully_associated());
+        assert!(!core_of(&sim2, sup).manager().fully_associated());
     }
 
     /// Regression: inflight entries for commands whose acks never come
@@ -492,11 +344,11 @@ mod tests {
         );
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(10));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.commands_sent(), 1);
         assert_eq!(s.commands_retried(), 0, "ticket grants are never retried");
         assert!(
-            s.core.inflight.values().all(|e| matches!(e.command, IceCommand::Heartbeat)),
+            s.inflight.values().all(|e| matches!(e.command, IceCommand::Heartbeat)),
             "expired command entries must be removed (only live heartbeats may remain)"
         );
         assert_eq!(s.rtt().unanswered(), 1, "dead heartbeats must not pollute command RTTs");
@@ -519,18 +371,14 @@ mod tests {
         );
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(60));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         // The app's stop is retried MAX_RETRIES times, then the
         // watchdog fires; the degrade path keeps probing with fresh
         // stops (each with its own retry cycle) as long as none is
         // confirmed. The pump never answers, so degraded mode holds.
         assert!(s.commands_retried() >= 2 * u64::from(MAX_RETRIES));
-        let probes = s
-            .core
-            .inflight
-            .values()
-            .filter(|e| !matches!(e.command, IceCommand::Heartbeat))
-            .count();
+        let probes =
+            s.inflight.values().filter(|e| !matches!(e.command, IceCommand::Heartbeat)).count();
         assert!(probes <= 1, "at most the current probe is outstanding");
         assert!(s.watchdog_escalations() >= 2);
         assert!(s.is_degraded(), "an unconfirmed stop must hold degraded mode");
@@ -558,7 +406,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // 40 s of silence: vacate + degrade.
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        assert!(sim.actor_as::<Supervisor>(sup).unwrap().is_degraded());
+        assert!(core_of(&sim, sup).is_degraded());
         // Device comes back: re-announce, then fresh data every second.
         let back = sim.now() + SimDuration::from_secs(1);
         sim.schedule(
@@ -587,11 +435,11 @@ mod tests {
         // Inside the hysteresis window the mode must hold.
         sim.run_until(back + SimDuration::from_secs(10));
         assert!(
-            sim.actor_as::<Supervisor>(sup).unwrap().is_degraded(),
+            core_of(&sim, sup).is_degraded(),
             "must stay degraded inside the hysteresis window"
         );
         sim.run_until(back + SimDuration::from_secs(30));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert!(!s.is_degraded(), "healthy for > hysteresis window: degraded mode ends");
         assert!(s.alarm().is_none(), "alarm clears on exit");
         let log = s.degraded_log();
@@ -609,12 +457,10 @@ mod tests {
         let standby_ep = fabric.add_endpoint("standby");
         let mut sim: Simulation<IceMsg> = Simulation::new(4);
         let nc = sim.add_actor("netctl", NetworkController::new(fabric));
-        let sup = sim.add_actor(
-            "standby",
-            Supervisor::new(app, nc, standby_ep, SimDuration::from_secs(2))
-                .with_role(SupervisorRole::Standby)
-                .with_redundancy(""),
-        );
+        let core = SupervisorCore::new(app, standby_ep, SimDuration::from_secs(2))
+            .with_role(SupervisorRole::Standby)
+            .with_redundancy("");
+        let sup = sim.add_actor("standby", Supervisor::new(core, nc));
         (sim, sup, dev, standby_ep)
     }
 
@@ -638,7 +484,7 @@ mod tests {
             },
         );
         {
-            let s = sim.actor_as::<Supervisor>(sup).unwrap();
+            let s = core_of(&sim, sup);
             assert_eq!(s.role(), SupervisorRole::Standby);
             assert_eq!(s.replicated_inflight_ids(), &[5, 6]);
             assert_eq!(s.failovers(), 0);
@@ -647,13 +493,13 @@ mod tests {
         // periods without a checkpoint the standby takes over.
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         sim.run_until(sim.now() + SimDuration::from_secs(20));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.role(), SupervisorRole::Primary);
         assert_eq!(s.failovers(), 1);
         assert_eq!(s.epoch(), 2, "promotion epoch exceeds everything the primary stamped");
         assert!(s.is_degraded(), "a replicated degraded latch survives failover");
         assert_eq!(s.alarm(), Some("inherited-degraded"));
-        assert!(s.core.next_command_id >= 7, "the id high-water mark is adopted");
+        assert!(s.next_command_id >= 7, "the id high-water mark is adopted");
     }
 
     /// A standby that never saw a single checkpoint (primary died
@@ -664,7 +510,7 @@ mod tests {
         let (mut sim, sup, _, _) = setup_standby(Probe::default());
         sim.schedule(SimTime::ZERO, sup, IceMsg::Tick);
         sim.run_until(SimTime::from_secs(20));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.role(), SupervisorRole::Primary);
         assert!(s.epoch() >= 2, "a promoted standby must outrank the epoch-1 primary");
     }
@@ -685,7 +531,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // 40 s of silence: vacate + degrade, window left open.
         sim.run_until(sim.now() + SimDuration::from_secs(40));
-        assert!(sim.actor_as::<Supervisor>(sup).unwrap().is_degraded());
+        assert!(core_of(&sim, sup).is_degraded());
         let at = sim.now() + SimDuration::from_secs(1);
         sim.schedule(
             at,
@@ -703,13 +549,13 @@ mod tests {
             }),
         );
         sim.run_until(at + SimDuration::from_secs(2));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.role(), SupervisorRole::Standby);
         assert_eq!(s.stepdowns(), 1);
         assert!(!s.is_degraded(), "the higher-epoch primary owns the degraded state now");
         assert!(s.alarm().is_none());
         assert!(s.degraded_log().last().unwrap().1.is_some(), "open window closed at stepdown");
-        assert!(s.core.inflight.is_empty(), "inflight commands are abandoned at stepdown");
+        assert!(s.inflight.is_empty(), "inflight commands are abandoned at stepdown");
     }
 
     /// Standbys own no part of the command channel: app commands are
@@ -727,7 +573,7 @@ mod tests {
         sim.schedule(sim.now(), sup, IceMsg::Tick);
         // Short of the promotion trigger, so it stays standby throughout.
         sim.run_until(sim.now() + SimDuration::from_secs(8));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         assert_eq!(s.role(), SupervisorRole::Standby);
         assert_eq!(s.commands_sent(), 0, "standbys put nothing on the wire");
         assert!(s.standby_suppressed() >= 1, "the app's stop was suppressed, not sent");
@@ -778,7 +624,7 @@ mod tests {
             }),
         );
         sim.run_until(t2 + SimDuration::from_secs(1));
-        let s = sim.actor_as::<Supervisor>(sup).unwrap();
+        let s = core_of(&sim, sup);
         let (hb_sent, hb_acked, _) = s.heartbeat_counts();
         assert!(hb_sent >= 4);
         assert_eq!(hb_acked, 1, "only the inflight-matched ack counts toward RTTs");
@@ -786,7 +632,7 @@ mod tests {
         assert!(s.heartbeat_rtts_ms()[0] >= 999.0, "RTT measured from the heartbeat send");
         assert_eq!(s.commands_sent(), 2, "the grant plus exactly one fail-safe release ResumePump");
         assert!(
-            s.core.inflight.values().any(|e| matches!(e.command, IceCommand::ResumePump)),
+            s.inflight.values().any(|e| matches!(e.command, IceCommand::ResumePump)),
             "the release resume is on the wire"
         );
     }

@@ -213,11 +213,6 @@ impl OutcomeTracker {
         }
         o
     }
-
-    /// Whether a hypoxaemia episode is ongoing right now.
-    pub fn in_hypoxemia(&self) -> bool {
-        self.in_hypox
-    }
 }
 
 impl Default for OutcomeTracker {

@@ -17,35 +17,6 @@ use crate::trace::TraceLog;
 
 pub use crate::executor::Context;
 
-/// The minimal surface a simulation driver needs: a clock, single-step
-/// dispatch and bounded runs. [`Simulation`] is the standard
-/// implementation; alternative runtimes (e.g. instrumented or
-/// co-simulated kernels) can wrap one and interpose on `step`.
-pub trait Runtime<M> {
-    /// Current simulation time.
-    fn now(&self) -> SimTime;
-
-    /// Total events dispatched so far.
-    fn events_processed(&self) -> u64;
-
-    /// Dispatches the next event, if any. Returns `false` when the
-    /// queue is empty or a stop was requested.
-    fn step(&mut self) -> bool;
-
-    /// Runs until the queue drains or a stop is requested. Returns the
-    /// number of events processed by this call.
-    fn run(&mut self) -> u64 {
-        let before = self.events_processed();
-        while self.step() {}
-        self.events_processed() - before
-    }
-
-    /// Runs until `deadline` (inclusive), the queue drains, or a stop
-    /// is requested. On return, `now()` is exactly `deadline` unless
-    /// the run stopped early. Returns the number of events processed.
-    fn run_until(&mut self, deadline: SimTime) -> u64;
-}
-
 /// A deterministic discrete-event simulation over message type `M`.
 ///
 /// See the [`Actor`] docs for a complete usage example.
@@ -239,28 +210,6 @@ impl<M: 'static> Simulation<M> {
         if !self.scratch.is_empty() {
             self.scheduler.put_back_ready(&mut self.scratch);
         }
-    }
-}
-
-impl<M: 'static> Runtime<M> for Simulation<M> {
-    fn now(&self) -> SimTime {
-        Simulation::now(self)
-    }
-
-    fn events_processed(&self) -> u64 {
-        Simulation::events_processed(self)
-    }
-
-    fn step(&mut self) -> bool {
-        Simulation::step(self)
-    }
-
-    fn run(&mut self) -> u64 {
-        Simulation::run(self)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> u64 {
-        Simulation::run_until(self, deadline)
     }
 }
 
@@ -471,14 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn runtime_trait_object_drives_the_sim() {
+    fn run_until_lands_on_the_deadline() {
         let (mut sim, _, ponger) = build();
-        {
-            let rt: &mut dyn Runtime<Msg> = &mut sim;
-            rt.run_until(SimTime::from_millis(25));
-            assert_eq!(rt.now(), SimTime::from_millis(25));
-            assert!(rt.events_processed() > 0);
-        }
+        sim.run_until(SimTime::from_millis(25));
+        assert_eq!(sim.now(), SimTime::from_millis(25));
+        assert!(sim.events_processed() > 0);
         assert_eq!(sim.actor_as::<Ponger>(ponger).unwrap().received, 2);
     }
 }

@@ -13,8 +13,7 @@
 //! * [`executor`] — actor slab, per-actor deterministic RNG streams,
 //!   message dispatch ([`executor::Context`]).
 //! * [`kernel`] — [`kernel::Simulation`] joins the two behind the
-//!   classic API; [`kernel::Runtime`] is the trait drivers program
-//!   against.
+//!   classic API.
 //! * [`telemetry`] — counters, histograms, time series and run
 //!   manifests; the single sink for run statistics, mergeable across
 //!   shards.
@@ -61,7 +60,7 @@ pub mod trace;
 /// Convenient glob-import of the runtime's everyday names.
 pub mod prelude {
     pub use crate::actor::{Actor, ActorId};
-    pub use crate::kernel::{Context, Runtime, Simulation};
+    pub use crate::kernel::{Context, Simulation};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::shard::{
         run_shards, run_shards_costed, run_shards_costed_in, run_shards_with, ShardStats,
@@ -71,6 +70,6 @@ pub mod prelude {
 }
 
 pub use actor::{Actor, ActorId};
-pub use kernel::{Context, Runtime, Simulation};
+pub use kernel::{Context, Simulation};
 pub use telemetry::Telemetry;
 pub use time::{SimDuration, SimTime};

@@ -23,7 +23,7 @@
 mod series;
 mod stats;
 
-pub use series::{MetricsHub, TimeSeries};
+pub use series::TimeSeries;
 pub use stats::{percentile, Summary, Welford};
 
 use serde::{Deserialize, Serialize};
@@ -137,10 +137,6 @@ impl Telemetry {
     }
 
     /// All histogram names, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// All series names, sorted.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
         self.series.keys().map(String::as_str)

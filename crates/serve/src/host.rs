@@ -48,11 +48,12 @@
 //!
 //! # Durability
 //!
-//! [`ServeHost::attach_journal`] connects a [`Journal`]; whenever the
-//! core's fencing fingerprint (epoch, command high-water mark, safety
-//! latches) changes, the new checkpoint is appended — so a `kill -9`'d
-//! host restarted from the journal resumes with a strictly higher
-//! epoch and its latches intact (see [`crate::journal`]).
+//! [`ServeHost::attach_journal`] connects a [`Journal`]; every poll
+//! offers it the core's checkpoint, and the journal durably records
+//! each change of the fencing fingerprint (epoch, command high-water
+//! mark, safety latches) — so a `kill -9`'d host restarted from the
+//! journal resumes with a strictly higher epoch and its latches intact
+//! (see [`crate::journal`]).
 
 use crate::clock::ServeClock;
 use crate::journal::Journal;
@@ -152,8 +153,6 @@ pub struct ServeHost<T: Transport> {
     next_tick: SimTime,
     stats: ServeStats,
     journal: Option<Journal>,
-    /// Fencing fingerprint of the last journaled checkpoint.
-    journal_fp: Option<(u64, u64, bool, bool)>,
     /// The thread [`ServeHost::run`] parks, once it has started.
     waker: Option<Thread>,
     closed: bool,
@@ -199,7 +198,6 @@ impl<T: Transport> ServeHost<T> {
             next_tick: SimTime::ZERO,
             stats: ServeStats::default(),
             journal: None,
-            journal_fp: None,
             waker: None,
             closed: false,
         }
@@ -222,12 +220,10 @@ impl<T: Transport> ServeHost<T> {
         self.peers.len()
     }
 
-    /// Connects a durability journal. The current checkpoint is
-    /// appended on the next poll and on every fencing-fingerprint
-    /// change after that.
+    /// Connects a durability journal. Every poll offers it the current
+    /// checkpoint; the journal records each fencing-fingerprint change.
     pub fn attach_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
-        self.journal_fp = None;
     }
 
     /// The attached journal, if any (for its append/sync counters).
@@ -477,23 +473,17 @@ impl<T: Transport> ServeHost<T> {
         }
     }
 
-    /// Appends a checkpoint to the journal when the fencing
-    /// fingerprint — epoch, command high-water mark, safety latches —
-    /// has changed. (Journal-internal policy decides which appends
-    /// fsync; see [`crate::journal`].)
+    /// Offers the current checkpoint to the journal, which writes it
+    /// only when the fencing fingerprint differs from the last durable
+    /// record (see [`crate::journal`]), so a failed append is retried
+    /// on the next poll.
     fn journal_tick(&mut self) {
         let Some(journal) = self.journal.as_mut() else { return };
-        let state = self.core.checkpoint_state();
-        let fp = (state.epoch, state.next_command_id, state.degraded, state.stop_unconfirmed);
-        if self.journal_fp == Some(fp) {
-            return;
-        }
-        if journal.append(&state).is_err() {
+        if journal.append(&self.core.checkpoint_state()).is_err() {
             // Durability degraded, safety not: the live interlock and
             // the device-local watchdog still hold. Keep serving.
             self.stats.journal_errors += 1;
         }
-        self.journal_fp = Some(fp);
     }
 }
 

@@ -30,23 +30,28 @@
 //!
 //! # Durability policy
 //!
-//! Not every record is fsynced. A record is *epoch-bearing* when its
-//! epoch, `next_command_id` high-water mark, or a safety latch
-//! (degraded / stop-unconfirmed) differs from the previously synced
-//! record — exactly the state a resurrected supervisor must not
-//! un-learn (losing an epoch bump would let it reuse a fenced epoch;
-//! losing a latch would un-latch a safety hold). Those records are
-//! followed by `sync_data`. Routine checkpoints between them ride on
-//! the page cache: losing them costs freshness, never fencing.
+//! The journal records a checkpoint only when its *fencing
+//! fingerprint* — epoch, `next_command_id` high-water mark, and the
+//! degraded / stop-unconfirmed latches — differs from the last
+//! durable record: exactly the state a resurrected supervisor must
+//! not un-learn (losing an epoch bump would let it reuse a fenced
+//! epoch; losing a latch would un-latch a safety hold). Every record
+//! written is followed by `sync_data`, and the fingerprint counts as
+//! durable only once that sync succeeds, so a checkpoint whose write
+//! or sync failed is retried by the next [`Journal::append`] with the
+//! same fingerprint. Callers may therefore offer a checkpoint as often
+//! as they like; unchanged ones cost a comparison, not a write.
 //!
 //! # Rotation
 //!
 //! [`Journal::open`] always starts a **new** segment (`last index +
 //! 1`) rather than appending to the newest existing one — appending
-//! after a torn tail would bury valid records behind garbage. Segments
-//! rotate once they exceed a size budget; superseded segments are
-//! removed only after the fresh segment holds at least one durable
-//! record, so the most recent checkpoint is always recoverable.
+//! after a torn tail would bury valid records behind garbage. For the
+//! same reason the append after any failed one starts a new segment.
+//! Segments also rotate once they exceed a size budget; superseded
+//! segments are removed only after the fresh segment holds at least
+//! one durable record, so the most recent checkpoint is always
+//! recoverable.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -140,7 +145,7 @@ fn replay_segment(bytes: &[u8]) -> (Vec<CheckpointState>, bool, bool) {
     (records, torn, corrupt)
 }
 
-/// The fields whose change makes a record epoch-bearing (must be
+/// The fields whose change makes a checkpoint worth recording (must be
 /// durable before the supervisor acts on the new value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fingerprint {
@@ -172,8 +177,11 @@ pub struct Journal {
     /// Segments superseded by the current one, deletable once the
     /// current segment holds a durable record.
     stale_segments: Vec<PathBuf>,
-    /// Fingerprint of the last *synced* record.
-    synced: Option<Fingerprint>,
+    /// Fingerprint of the last *durable* (written and synced) record.
+    durable: Option<Fingerprint>,
+    /// The last append failed, so the current segment may end in a
+    /// torn record: the next append starts a fresh segment.
+    failed: bool,
     appended: u64,
     syncs: u64,
 }
@@ -226,7 +234,8 @@ impl Journal {
                 segment_bytes: 0,
                 max_segment_bytes,
                 stale_segments: segments.into_iter().map(|(_, p)| p).collect(),
-                synced: None,
+                durable: None,
+                failed: false,
                 appended: 0,
                 syncs: 0,
             },
@@ -234,46 +243,52 @@ impl Journal {
         ))
     }
 
-    /// Appends one checkpoint, fsyncing when the record is
-    /// epoch-bearing (see the module docs) or the first of a segment.
+    /// Records `state` durably unless its fencing fingerprint equals
+    /// the last durable record's (see the module docs); an unchanged
+    /// checkpoint writes nothing.
     ///
     /// # Errors
     ///
     /// Propagates write/sync/rotation I/O failures; the caller decides
-    /// whether losing durability is fatal.
+    /// whether losing durability is fatal. A failed checkpoint is not
+    /// durable, so appending it again retries it.
     pub fn append(&mut self, state: &CheckpointState) -> std::io::Result<()> {
-        if self.segment_bytes >= self.max_segment_bytes {
+        let fp = Fingerprint::of(state);
+        if self.durable == Some(fp) {
+            return Ok(());
+        }
+        let result = self.write_synced(state);
+        self.failed = result.is_err();
+        if result.is_ok() {
+            self.durable = Some(fp);
+            self.drop_stale_segments();
+        }
+        result
+    }
+
+    /// Writes one record and syncs it, first rotating past a failed
+    /// or full segment.
+    fn write_synced(&mut self, state: &CheckpointState) -> std::io::Result<()> {
+        if self.failed || self.segment_bytes >= self.max_segment_bytes {
             self.rotate()?;
         }
         let rec = encode_record(state);
         self.file.write_all(&rec)?;
         self.segment_bytes += rec.len() as u64;
         self.appended += 1;
-        let fp = Fingerprint::of(state);
-        // First record of a fresh journal/segment is always synced so
-        // rotation may safely delete the superseded segments.
-        if self.synced != Some(fp) {
-            self.file.sync_data()?;
-            self.syncs += 1;
-            self.synced = Some(fp);
-            self.drop_stale_segments();
-        }
+        self.file.sync_data()?;
+        self.syncs += 1;
         Ok(())
     }
 
-    /// Closes the current segment and opens the next; the old segment
-    /// joins the stale set (deleted after the next durable record).
+    /// Opens the next segment; only once that succeeds does the old one
+    /// join the stale set (deleted after the next durable record).
     fn rotate(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()?;
-        self.syncs += 1;
+        let path = segment_path(&self.base, self.segment_index + 1);
+        self.file = OpenOptions::new().create_new(true).write(true).open(&path)?;
         self.stale_segments.push(segment_path(&self.base, self.segment_index));
         self.segment_index += 1;
-        let path = segment_path(&self.base, self.segment_index);
-        self.file = OpenOptions::new().create_new(true).write(true).open(&path)?;
         self.segment_bytes = 0;
-        // Force the next append to sync (first record of the segment),
-        // even if its fingerprint matches the last synced one.
-        self.synced = None;
         Ok(())
     }
 
@@ -391,21 +406,58 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_fingerprint_skips_fsync() {
-        let base = tmp_base("fsync");
+    fn unchanged_fingerprint_writes_nothing() {
+        let base = tmp_base("unchanged");
         let (mut journal, _) = Journal::open(&base).unwrap();
         let mut state = ckpt(3);
         journal.append(&state).unwrap();
-        // Same epoch/latches, fresher inflight view: no sync needed.
+        let bytes = fs::metadata(journal.current_segment()).unwrap().len();
+        // Same epoch/latches, fresher inflight view: nothing to record.
         state.inflight_ids = vec![7];
         journal.append(&state).unwrap();
         journal.append(&state).unwrap();
-        assert_eq!(journal.appended(), 3);
-        assert_eq!(journal.syncs(), 1);
-        // But a latch flip forces one.
+        assert_eq!((journal.appended(), journal.syncs()), (1, 1));
+        assert_eq!(fs::metadata(journal.current_segment()).unwrap().len(), bytes);
+        // But a latch flip is recorded, and synced.
         state.degraded = true;
         journal.append(&state).unwrap();
-        assert_eq!(journal.syncs(), 2);
+        assert_eq!((journal.appended(), journal.syncs()), (2, 2));
+    }
+
+    #[test]
+    fn failed_write_is_retried_in_a_fresh_segment() {
+        let base = tmp_base("failed-write");
+        let (mut journal, _) = Journal::open(&base).unwrap();
+        journal.append(&ckpt(1)).unwrap();
+        let first = journal.current_segment();
+        // A read-only handle makes the next write fail.
+        journal.file = File::open(&first).unwrap();
+        assert!(journal.append(&ckpt(2)).is_err());
+        // The same checkpoint again: not durable yet, so it is written,
+        // and not behind the failed write.
+        journal.append(&ckpt(2)).unwrap();
+        assert_ne!(journal.current_segment(), first);
+        let (_, recovery) = Journal::open(&base).unwrap();
+        assert_eq!(recovery.state, Some(ckpt(2)));
+        assert!(!recovery.torn_tail && !recovery.corrupt_stopped);
+    }
+
+    #[test]
+    fn failed_rotation_keeps_the_current_segment() {
+        let base = tmp_base("failed-rotate");
+        let (mut journal, _) = Journal::open_with(&base, 1).unwrap();
+        journal.append(&ckpt(1)).unwrap();
+        let first = journal.current_segment();
+        // Occupy the next segment's name so `create_new` fails.
+        let blocker = segment_path(&base, 1);
+        fs::write(&blocker, b"").unwrap();
+        assert!(journal.append(&ckpt(2)).is_err());
+        assert_eq!(journal.current_segment(), first);
+        assert!(first.exists(), "the current segment must name a real file");
+        fs::remove_file(&blocker).unwrap();
+        journal.append(&ckpt(2)).unwrap();
+        let (_, recovery) = Journal::open(&base).unwrap();
+        assert_eq!(recovery.state, Some(ckpt(2)));
     }
 
     #[test]

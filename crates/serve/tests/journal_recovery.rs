@@ -3,10 +3,19 @@
 //! offset of its last record — never panic, never serve a damaged
 //! checkpoint, always fall back to the last intact one.
 
+use mcps_control::interlock::{InterlockConfig, InterlockStrategy};
+use mcps_core::msg::{NetOp, NetPayload};
 use mcps_core::supervisor::CheckpointState;
+use mcps_core::{PcaSafetyApp, SupervisorCore};
+use mcps_device::pump::PcaPump;
+use mcps_serve::client::{PUMP_EP, SUP_EP};
+use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::journal::{Journal, RECORD_HEADER_LEN};
+use mcps_serve::transport::{ChannelTransport, Transport};
+use mcps_sim::time::SimDuration;
 use std::fs;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn ckpt(epoch: u64) -> CheckpointState {
     CheckpointState {
@@ -136,5 +145,61 @@ fn corruption_stops_replay_at_the_damage() {
     let (_, recovery) = Journal::open(&base).unwrap();
     assert_eq!(recovery.state, Some(ckpt(1)));
     assert!(recovery.corrupt_stopped);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The fields a journal replay must never lose.
+fn fencing(state: &CheckpointState) -> (u64, u64, bool, bool) {
+    (state.epoch, state.next_command_id, state.degraded, state.stop_unconfirmed)
+}
+
+/// A fencing change whose append fails is retried on the next poll,
+/// so it reaches disk as soon as the disk recovers rather than
+/// waiting for the fingerprint to move again.
+#[test]
+fn failed_append_is_retried_on_the_next_poll() {
+    let dir = fresh_dir("retry");
+    let base = dir.join("ckpt");
+    // A 1-byte budget: every append after the first rotates.
+    let (journal, _) = Journal::open_with(&base, 1).unwrap();
+    let config = InterlockConfig { strategy: InterlockStrategy::Command, ..Default::default() };
+    let core = SupervisorCore::new(PcaSafetyApp::new(config), SUP_EP, SimDuration::from_secs(2));
+    let (server_t, mut client_t) = ChannelTransport::pair();
+    let mut host =
+        ServeHost::new(core, server_t, ServeConfig { speed: 100.0, ..Default::default() });
+    host.attach_journal(journal);
+    host.poll();
+    assert_eq!(host.journal().unwrap().appended(), 1);
+
+    // Occupy the next segment's name so the rotation fails.
+    let blocker = dir.join("ckpt.000001.wal");
+    fs::write(&blocker, b"").unwrap();
+    // A command-mode pump associates; its first heartbeat advances the
+    // command ids.
+    let profile = PcaPump::profile("P-1", false);
+    client_t
+        .send(&NetOp::Deliver {
+            from: PUMP_EP,
+            payload: NetPayload::Announce { profile, endpoint: PUMP_EP },
+        })
+        .unwrap();
+    let before = fencing(&host.core().checkpoint_state());
+    let start = Instant::now();
+    while fencing(&host.core().checkpoint_state()) == before {
+        assert!(start.elapsed() < Duration::from_secs(10), "no heartbeat was ever sent");
+        host.poll();
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert_eq!(host.stats().journal_errors, 1, "the blocked rotation must fail once");
+
+    // The disk recovers: the very next poll must land the change.
+    fs::remove_file(&blocker).unwrap();
+    host.poll();
+    assert_eq!(host.stats().journal_errors, 1);
+    let expected = fencing(&host.core().checkpoint_state());
+    let (_, recovery) = Journal::open(&base).unwrap();
+    let replayed = recovery.state.expect("the journal must replay a checkpoint");
+    assert_eq!(fencing(&replayed), expected, "the failed change was never made durable");
+    assert!(!recovery.torn_tail && !recovery.corrupt_stopped);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -42,18 +42,18 @@ pub mod stats {
 
 /// Metric collection (re-exported from the runtime telemetry bus).
 pub mod metrics {
-    pub use mcps_runtime::telemetry::{Histogram, MetricsHub, Telemetry, TimeSeries};
+    pub use mcps_runtime::telemetry::{Histogram, Telemetry, TimeSeries};
 }
 
 /// Convenient glob-import of the kernel's everyday names.
 pub mod prelude {
     pub use mcps_runtime::actor::{Actor, ActorId};
-    pub use mcps_runtime::kernel::{Context, Runtime, Simulation};
+    pub use mcps_runtime::kernel::{Context, Simulation};
     pub use mcps_runtime::rng::{RngFactory, SimRng};
     pub use mcps_runtime::telemetry::Summary;
     pub use mcps_runtime::time::{SimDuration, SimTime};
 }
 
 pub use mcps_runtime::actor::{Actor, ActorId};
-pub use mcps_runtime::kernel::{Context, Runtime, Simulation};
+pub use mcps_runtime::kernel::{Context, Simulation};
 pub use mcps_runtime::time::{SimDuration, SimTime};
