@@ -6,8 +6,7 @@
 //!   scheduled outages,
 //! * [`fabric`] — endpoints, directed links and publish/subscribe
 //!   topic routing with per-link statistics,
-//! * [`monitor`] — stream-freshness and command-deadline tracking, the
-//!   raw material of fail-safe logic,
+//! * [`monitor`] — command-deadline tracking,
 //! * [`reference`] — the original tree-routed fabric, kept as the
 //!   behavioural baseline the dense engine is property-tested against.
 //!
@@ -56,5 +55,5 @@ pub mod qos;
 pub mod reference;
 
 pub use fabric::{EndpointId, Fabric, LinkStats, PlannedDelivery, Topic, TopicId};
-pub use monitor::{DeadlineTracker, FreshnessMonitor};
+pub use monitor::DeadlineTracker;
 pub use qos::{Delivery, LinkQos, OutagePlan};

@@ -1,70 +1,10 @@
-//! Stream-freshness and deadline monitoring.
-//!
-//! Safety interlocks must *know* when their inputs are stale: a pump
-//! that keeps infusing while the oximeter's reports are stuck in a
-//! partitioned network is exactly the failure the paper warns about.
-//! [`FreshnessMonitor`] tracks per-stream arrival recency and
-//! [`DeadlineTracker`] scores request/response latency against a
-//! deadline.
+//! Deadline monitoring: [`DeadlineTracker`] scores request/response
+//! latency against a deadline. (Stream freshness lives with its one
+//! consumer, the PCA interlock, which keeps the last arrival per vital.)
 
 use mcps_sim::stats::Welford;
-use mcps_sim::time::{SimDuration, SimTime};
+use mcps_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Tracks the last arrival time of named streams and flags staleness.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FreshnessMonitor {
-    last_seen: BTreeMap<String, SimTime>,
-    timeout: SimDuration,
-}
-
-impl FreshnessMonitor {
-    /// Creates a monitor that deems a stream stale `timeout` after its
-    /// last arrival.
-    pub fn new(timeout: SimDuration) -> Self {
-        FreshnessMonitor { last_seen: BTreeMap::new(), timeout }
-    }
-
-    /// The configured staleness timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
-
-    /// Records an arrival on `stream` at `now`.
-    pub fn observe(&mut self, stream: &str, now: SimTime) {
-        // Steady state is a fresh timestamp on a known stream: update
-        // in place and only allocate the owned key on first arrival.
-        if let Some(t) = self.last_seen.get_mut(stream) {
-            *t = now;
-        } else {
-            self.last_seen.insert(stream.to_owned(), now);
-        }
-    }
-
-    /// Last arrival on `stream`, if any.
-    pub fn last_seen(&self, stream: &str) -> Option<SimTime> {
-        self.last_seen.get(stream).copied()
-    }
-
-    /// Whether `stream` is stale at `now`. A stream that has *never*
-    /// arrived is always stale — absence of data must fail safe.
-    pub fn is_stale(&self, stream: &str, now: SimTime) -> bool {
-        match self.last_seen.get(stream) {
-            Some(&t) => now.saturating_since(t) > self.timeout,
-            None => true,
-        }
-    }
-
-    /// Streams (of those ever observed) that are stale at `now`.
-    pub fn stale_streams(&self, now: SimTime) -> Vec<&str> {
-        self.last_seen
-            .iter()
-            .filter(|(_, &t)| now.saturating_since(t) > self.timeout)
-            .map(|(k, _)| k.as_str())
-            .collect()
-    }
-}
 
 /// Scores completed request/response (or command/acknowledgement)
 /// round trips against a deadline.
@@ -142,30 +82,6 @@ impl DeadlineTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn never_seen_is_stale() {
-        let m = FreshnessMonitor::new(SimDuration::from_secs(5));
-        assert!(m.is_stale("spo2", SimTime::ZERO));
-    }
-
-    #[test]
-    fn freshness_window() {
-        let mut m = FreshnessMonitor::new(SimDuration::from_secs(5));
-        m.observe("spo2", SimTime::from_secs(10));
-        assert!(!m.is_stale("spo2", SimTime::from_secs(15)));
-        assert!(m.is_stale("spo2", SimTime::from_secs(16)));
-        assert_eq!(m.last_seen("spo2"), Some(SimTime::from_secs(10)));
-    }
-
-    #[test]
-    fn stale_streams_lists_only_stale() {
-        let mut m = FreshnessMonitor::new(SimDuration::from_secs(5));
-        m.observe("a", SimTime::from_secs(0));
-        m.observe("b", SimTime::from_secs(9));
-        let stale = m.stale_streams(SimTime::from_secs(10));
-        assert_eq!(stale, vec!["a"]);
-    }
 
     #[test]
     fn deadline_classification() {
