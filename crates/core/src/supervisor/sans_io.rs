@@ -708,6 +708,17 @@ impl SupervisorCore {
                     // Newly associated devices start their liveness
                     // clock now.
                     self.last_data.insert(endpoint, now);
+                    // Supervision starts at association, as it does at
+                    // promotion: a pump that joins after the first tick
+                    // (a reconnect, or a restart owing it a resume) is
+                    // heartbeated now, not at the next period boundary.
+                    // Before the first tick, that tick heartbeats it.
+                    if self.role == SupervisorRole::Primary
+                        && self.next_heartbeat.is_some()
+                        && profile.accepts_command(CommandKind::Stop)
+                    {
+                        self.send_heartbeat(now, out, endpoint);
+                    }
                 }
                 if self.manager.fully_associated() && !self.assoc_active {
                     self.assoc_active = true;
@@ -1146,18 +1157,18 @@ impl SupervisorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcps_device::profile::{DeviceClass, DeviceRequirementSet, Requirement};
+    use mcps_device::profile::{DeviceClass, DeviceProfile, DeviceRequirementSet, Requirement};
     use mcps_net::fabric::Fabric;
     use mcps_patient::vitals::VitalKind;
     use mcps_sim::rng::RngFactory;
 
-    /// A data-free app requiring one pump slot.
+    /// A data-free app requiring one slot of the given device class.
     #[derive(Debug)]
-    struct PumpOnly;
+    struct OneSlot(DeviceClass);
 
-    impl ClinicalApp for PumpOnly {
+    impl ClinicalApp for OneSlot {
         fn requirements(&self) -> Vec<DeviceRequirementSet> {
-            vec![DeviceRequirementSet::new("pump", vec![Requirement::Class(DeviceClass::Infusion)])]
+            vec![DeviceRequirementSet::new("slot", vec![Requirement::Class(self.0)])]
         }
         fn on_data(&mut self, _ctx: &mut AppCtx<'_>, _kind: VitalKind, _value: f64, _at: SimTime) {}
         fn on_tick(&mut self, _ctx: &mut AppCtx<'_>) {}
@@ -1167,7 +1178,8 @@ mod tests {
         let mut fabric = Fabric::new();
         let dev = fabric.add_endpoint("dev");
         let sup = fabric.add_endpoint("sup");
-        let core = SupervisorCore::new(PumpOnly, sup, SimDuration::from_secs(2));
+        let core =
+            SupervisorCore::new(OneSlot(DeviceClass::Infusion), sup, SimDuration::from_secs(2));
         (core, dev, RngFactory::new(1).stream("core"), CoreOutputs::new())
     }
 
@@ -1192,6 +1204,143 @@ mod tests {
             out.sends.iter().any(|(to, p)| *to == NetAddress::Endpoint(dev)
                 && matches!(p, NetPayload::Command { command: IceCommand::Heartbeat, .. })),
             "first primary tick must heartbeat the stop-capable pump: {:?}",
+            out.sends
+        );
+    }
+
+    /// Delivers `profile`'s announce from `dev` at `at` and returns
+    /// the ids of the heartbeats that one `handle` call sent to `dev`.
+    fn announce_at(
+        core: &mut SupervisorCore,
+        dev: EndpointId,
+        profile: DeviceProfile,
+        at: SimTime,
+        rng: &mut SimRng,
+        out: &mut CoreOutputs,
+    ) -> Vec<u64> {
+        out.begin(true);
+        core.handle(
+            at,
+            CoreInput::Deliver {
+                from: dev,
+                payload: NetPayload::Announce { profile, endpoint: dev },
+            },
+            rng,
+            out,
+        );
+        heartbeats_to(out, dev)
+    }
+
+    /// Ids of the heartbeats in `out` addressed to `dev`.
+    fn heartbeats_to(out: &CoreOutputs, dev: EndpointId) -> Vec<u64> {
+        out.sends
+            .iter()
+            .filter_map(|(to, p)| match p {
+                NetPayload::Command { id, command: IceCommand::Heartbeat, .. }
+                    if *to == NetAddress::Endpoint(dev) =>
+                {
+                    Some(*id)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn tick_at(core: &mut SupervisorCore, at: SimTime, rng: &mut SimRng, out: &mut CoreOutputs) {
+        out.begin(true);
+        core.handle(at, CoreInput::Tick, rng, out);
+    }
+
+    #[test]
+    fn pump_associating_after_the_first_tick_is_heartbeated_at_once() {
+        let (mut core, dev, mut rng, mut out) = rig();
+        tick_at(&mut core, SimTime::ZERO, &mut rng, &mut out);
+        let profile = mcps_device::pump::PcaPump::profile("P-1", false);
+        let hb = announce_at(&mut core, dev, profile, SimTime::from_secs(2), &mut rng, &mut out);
+        assert_eq!(hb.len(), 1, "association must heartbeat the pump in the same call");
+        assert_eq!(core.heartbeat_counts().0, 1);
+    }
+
+    #[test]
+    fn pump_associating_before_the_first_tick_gets_one_heartbeat_at_that_tick() {
+        let (mut core, dev, mut rng, mut out) = rig();
+        let profile = mcps_device::pump::PcaPump::profile("P-1", false);
+        let hb = announce_at(&mut core, dev, profile, SimTime::ZERO, &mut rng, &mut out);
+        assert!(hb.is_empty(), "before the first tick, the tick heartbeats: {:?}", out.sends);
+        tick_at(&mut core, SimTime::from_secs(1), &mut rng, &mut out);
+        assert_eq!(heartbeats_to(&out, dev).len(), 1);
+        assert_eq!(core.heartbeat_counts().0, 1, "no double heartbeat");
+    }
+
+    #[test]
+    fn standby_sends_nothing_on_association() {
+        let (core, dev, mut rng, mut out) = rig();
+        let mut core = core.with_role(SupervisorRole::Standby);
+        tick_at(&mut core, SimTime::ZERO, &mut rng, &mut out);
+        let profile = mcps_device::pump::PcaPump::profile("P-1", false);
+        announce_at(&mut core, dev, profile, SimTime::from_secs(2), &mut rng, &mut out);
+        assert!(core.manager().fully_associated(), "a warm standby still associates");
+        assert!(out.sends.is_empty(), "a standby owns no command channel: {:?}", out.sends);
+        assert_eq!(core.heartbeat_counts().0, 0);
+    }
+
+    #[test]
+    fn monitor_only_device_gets_no_association_heartbeat() {
+        let mut fabric = Fabric::new();
+        let dev = fabric.add_endpoint("ox");
+        let sup = fabric.add_endpoint("sup");
+        let mut core =
+            SupervisorCore::new(OneSlot(DeviceClass::Monitor), sup, SimDuration::from_secs(2));
+        let (mut rng, mut out) = (RngFactory::new(1).stream("core"), CoreOutputs::new());
+        tick_at(&mut core, SimTime::ZERO, &mut rng, &mut out);
+        let profile = mcps_device::monitor::pulse_oximeter("OX-1").profile().clone();
+        assert!(!profile.accepts_command(CommandKind::Stop));
+        let hb = announce_at(&mut core, dev, profile, SimTime::from_secs(2), &mut rng, &mut out);
+        assert!(core.manager().fully_associated());
+        assert!(hb.is_empty(), "a monitor has no watchdog to feed: {:?}", out.sends);
+        assert_eq!(core.heartbeat_counts().0, 0);
+    }
+
+    /// A crash-restarted core owes a latched pump a `ResumePump` on its
+    /// first heartbeat ack; the association heartbeat collects that
+    /// ack one round trip after the pump re-announces.
+    #[test]
+    fn restored_core_heartbeats_a_reannouncing_pump_and_resumes_it() {
+        let (core, dev, mut rng, mut out) = rig();
+        let ckpt = CheckpointState {
+            epoch: 3,
+            next_command_id: 41,
+            degraded: false,
+            stop_unconfirmed: false,
+            inflight_ids: Vec::new(),
+            last_data: Vec::new(),
+        };
+        let mut core = core.resume_from(&ckpt);
+        tick_at(&mut core, SimTime::ZERO, &mut rng, &mut out);
+        let profile = mcps_device::pump::PcaPump::profile("P-1", false);
+        let hb = announce_at(&mut core, dev, profile, SimTime::from_secs(2), &mut rng, &mut out);
+        let &[id] = hb.as_slice() else {
+            panic!("re-announcing pump must be heartbeated at once: {:?}", out.sends)
+        };
+        assert!(id >= 41, "heartbeat id must not reuse the journaled range");
+        out.begin(true);
+        let at = SimTime::from_millis(2_200);
+        core.handle(
+            at,
+            CoreInput::Deliver {
+                from: dev,
+                payload: NetPayload::Ack { id, command: IceCommand::Heartbeat, applied_at: at },
+            },
+            &mut rng,
+            &mut out,
+        );
+        assert!(
+            out.sends.iter().any(|(to, p)| *to == NetAddress::Endpoint(dev)
+                && matches!(
+                    p,
+                    NetPayload::Command { epoch: 4, command: IceCommand::ResumePump, .. }
+                )),
+            "first heartbeat ack after a restart must resume the pump: {:?}",
             out.sends
         );
     }
@@ -1278,7 +1427,8 @@ mod tests {
         let mut fabric = Fabric::new();
         let dev = fabric.add_endpoint("dev");
         let sup = fabric.add_endpoint("sup");
-        let core = SupervisorCore::new(PumpOnly, sup, SimDuration::from_secs(2));
+        let core =
+            SupervisorCore::new(OneSlot(DeviceClass::Infusion), sup, SimDuration::from_secs(2));
         let mut core = core.resume_from(&ckpt);
         assert_eq!(core.epoch(), 4, "restart must fence every journaled epoch");
         assert!(core.restored());

@@ -10,10 +10,10 @@
 //! at once, and a peer that cannot signal is still polled every 1 ms.
 
 use mcps_control::interlock::{DetectorKind, InterlockConfig, InterlockStrategy};
-use mcps_core::msg::{NetOp, NetPayload};
+use mcps_core::msg::{IceCommand, NetAddress, NetOp, NetPayload};
 use mcps_core::{PcaSafetyApp, SupervisorCore};
 use mcps_patient::vitals::VitalKind;
-use mcps_serve::client::{PcaBedClient, OX_EP, SUP_EP};
+use mcps_serve::client::{PcaBedClient, OX_EP, PUMP_EP, SUP_EP};
 use mcps_serve::host::{ServeConfig, ServeHost};
 use mcps_serve::transport::{ChannelTransport, FramedTransport, Transport, TransportError};
 use mcps_serve::wire::encode_frame;
@@ -37,12 +37,12 @@ fn command_core() -> SupervisorCore {
 
 /// Runs host and client rounds until `done` holds or `wall_budget`
 /// expires, injecting `(spo2, rr)` vitals each round.
-fn run_rounds(
+fn run_rounds<C: Transport>(
     host: &mut ServeHost<ChannelTransport>,
-    client: &mut PcaBedClient<ChannelTransport>,
+    client: &mut PcaBedClient<C>,
     vitals: (f64, f64),
     wall_budget: Duration,
-    mut done: impl FnMut(&ServeHost<ChannelTransport>, &PcaBedClient<ChannelTransport>) -> bool,
+    mut done: impl FnMut(&ServeHost<ChannelTransport>, &PcaBedClient<C>) -> bool,
 ) -> bool {
     let start = Instant::now();
     while start.elapsed() < wall_budget {
@@ -72,7 +72,10 @@ fn live_association_then_danger_stops_pump() {
             ..Default::default()
         },
     );
-    let mut client = PcaBedClient::new(client_t, SPEED);
+    let (announced, heartbeated) = (Stamp::default(), Stamp::default());
+    let tap =
+        PumpTap { inner: client_t, announced: announced.clone(), heartbeated: heartbeated.clone() };
+    let mut client = PcaBedClient::new(tap, SPEED);
     client.announce_monitors();
 
     // Phase 1: healthy vitals until the supervisor is fully associated.
@@ -86,6 +89,22 @@ fn live_association_then_danger_stops_pump() {
             c.is_permitted()
         }),
         "pump never reached a permitted state under healthy vitals"
+    );
+    // Supervision starts at association: the pump's first heartbeat
+    // lands one round trip after its announce, not a heartbeat period
+    // (5 protocol-s) later. Wall time maps to protocol time by SPEED.
+    assert!(
+        run_rounds(&mut host, &mut client, (97.0, 14.0), Duration::from_secs(20), |_, _| {
+            heartbeated.lock().unwrap().is_some()
+        }),
+        "the bed never decoded a heartbeat for its pump"
+    );
+    let (announce_at, heartbeat_at) = (stamped(&announced), stamped(&heartbeated));
+    assert!(heartbeat_at >= announce_at, "pump heartbeated before it announced");
+    let setup = heartbeat_at.duration_since(announce_at).mul_f64(SPEED);
+    assert!(
+        setup <= Duration::from_secs(1),
+        "first heartbeat {setup:?} (protocol time) after the pump's announce"
     );
 
     // Phase 2: SpO₂ crosses the danger threshold (< 90). The interlock
@@ -168,6 +187,38 @@ impl<T: Transport> Transport for Stamped<T> {
 
     fn set_waker(&mut self, host: Thread) -> bool {
         self.inner.set_waker(host)
+    }
+}
+
+/// The bed's side of the link, forwarding to `inner` and stamping the
+/// pump's first announce out and its first heartbeat in.
+struct PumpTap<T> {
+    inner: T,
+    announced: Stamp,
+    heartbeated: Stamp,
+}
+
+impl<T: Transport> Transport for PumpTap<T> {
+    fn send(&mut self, op: &NetOp) -> Result<(), TransportError> {
+        if let NetOp::Send { from: PUMP_EP, payload: NetPayload::Announce { .. }, .. }
+        | NetOp::Deliver { from: PUMP_EP, payload: NetPayload::Announce { .. } } = op
+        {
+            stamp(&self.announced);
+        }
+        self.inner.send(op)
+    }
+
+    fn try_recv(&mut self) -> Result<Option<NetOp>, TransportError> {
+        let got = self.inner.try_recv();
+        if let Ok(Some(NetOp::Send {
+            to: NetAddress::Endpoint(PUMP_EP),
+            payload: NetPayload::Command { command: IceCommand::Heartbeat, .. },
+            ..
+        })) = &got
+        {
+            stamp(&self.heartbeated);
+        }
+        got
     }
 }
 
