@@ -403,11 +403,15 @@ mod tests {
     #[test]
     fn ticket_mode_stops_granting_on_stale_data() {
         let mut il = PcaInterlock::new(InterlockConfig::default());
+        assert!(il.data_stale(t(0)), "a stream that never arrived is stale");
         for s in 0..10 {
             feed_healthy(&mut il, s);
             il.on_tick(t(s));
         }
-        // Data stops arriving entirely (network partition).
+        // Data stops arriving entirely (network partition). The last
+        // samples landed at 9 s; the 10 s timeout is inclusive.
+        assert!(!il.data_stale(t(19)));
+        assert!(il.data_stale(t(20)));
         let mut grants_after_timeout = 0;
         for s in 10..60 {
             for a in il.on_tick(t(s)) {

@@ -60,7 +60,9 @@ const EXIT_FRESHNESS: SimDuration = SimDuration::from_secs(5);
 /// Shared with the verified failover model via
 /// [`timing::HEARTBEAT_SECS`]; two missed beats still fit inside the
 /// pump's 15 s local fail-safe deadline, so a healthy but lossy channel
-/// does not trip the latch.
+/// does not trip the latch. The period paces *repeat* beats only: a
+/// device is heartbeated as soon as it associates (or, before the first
+/// tick, at that tick), and every device at once on promotion.
 pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_secs(timing::HEARTBEAT_SECS as u64);
 
 /// How often a redundant primary replicates its state to the standby.
@@ -1183,31 +1185,6 @@ mod tests {
         (core, dev, RngFactory::new(1).stream("core"), CoreOutputs::new())
     }
 
-    #[test]
-    fn tick_after_association_emits_heartbeat_send() {
-        let (mut core, dev, mut rng, mut out) = rig();
-        let profile = mcps_device::pump::PcaPump::profile("P-1", false);
-        out.begin(true);
-        core.handle(
-            SimTime::ZERO,
-            CoreInput::Deliver {
-                from: dev,
-                payload: NetPayload::Announce { profile, endpoint: dev },
-            },
-            &mut rng,
-            &mut out,
-        );
-        assert!(core.manager().fully_associated());
-        out.begin(true);
-        core.handle(SimTime::from_secs(1), CoreInput::Tick, &mut rng, &mut out);
-        assert!(
-            out.sends.iter().any(|(to, p)| *to == NetAddress::Endpoint(dev)
-                && matches!(p, NetPayload::Command { command: IceCommand::Heartbeat, .. })),
-            "first primary tick must heartbeat the stop-capable pump: {:?}",
-            out.sends
-        );
-    }
-
     /// Delivers `profile`'s announce from `dev` at `at` and returns
     /// the ids of the heartbeats that one `handle` call sent to `dev`.
     fn announce_at(
@@ -1261,14 +1238,22 @@ mod tests {
         assert_eq!(core.heartbeat_counts().0, 1);
     }
 
+    /// Before the first tick, association leaves the heartbeat to that
+    /// tick, which sends exactly one.
     #[test]
-    fn pump_associating_before_the_first_tick_gets_one_heartbeat_at_that_tick() {
+    fn tick_after_association_emits_heartbeat_send() {
         let (mut core, dev, mut rng, mut out) = rig();
         let profile = mcps_device::pump::PcaPump::profile("P-1", false);
         let hb = announce_at(&mut core, dev, profile, SimTime::ZERO, &mut rng, &mut out);
+        assert!(core.manager().fully_associated());
         assert!(hb.is_empty(), "before the first tick, the tick heartbeats: {:?}", out.sends);
         tick_at(&mut core, SimTime::from_secs(1), &mut rng, &mut out);
-        assert_eq!(heartbeats_to(&out, dev).len(), 1);
+        assert_eq!(
+            heartbeats_to(&out, dev).len(),
+            1,
+            "first primary tick must heartbeat the stop-capable pump: {:?}",
+            out.sends
+        );
         assert_eq!(core.heartbeat_counts().0, 1, "no double heartbeat");
     }
 

@@ -1,8 +1,9 @@
 //! End-to-end serve-mode loop: a [`ServeHost`] and a [`PcaBedClient`]
 //! talking over an in-memory transport, run cooperatively on one
 //! thread (the bed holds `Rc` patient state and is deliberately not
-//! `Send`). Proves the full live path — announce, associate, stream
-//! vitals, detect danger, stop the pump — outside the simulator.
+//! `Send`). Proves the full live path — announce, associate, heartbeat
+//! the pump within one protocol second, stream vitals, detect danger,
+//! stop the pump — outside the simulator.
 //!
 //! The `wake_*` tests drive [`ServeHost::run`] itself at real-time
 //! speed (one tick per wall second): an idle host polls about once per
@@ -200,9 +201,7 @@ struct PumpTap<T> {
 
 impl<T: Transport> Transport for PumpTap<T> {
     fn send(&mut self, op: &NetOp) -> Result<(), TransportError> {
-        if let NetOp::Send { from: PUMP_EP, payload: NetPayload::Announce { .. }, .. }
-        | NetOp::Deliver { from: PUMP_EP, payload: NetPayload::Announce { .. } } = op
-        {
+        if let NetOp::Deliver { from: PUMP_EP, payload: NetPayload::Announce { .. } } = op {
             stamp(&self.announced);
         }
         self.inner.send(op)
